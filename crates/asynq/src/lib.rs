@@ -578,4 +578,20 @@ mod tests {
         assert_eq!(block_on(q.recv()), 11);
         t.join().unwrap();
     }
+
+    #[test]
+    fn unbounded_recv_gets_sync_transfer_too() {
+        // An unbounded receiver waits on the item list, not as a linked
+        // reservation: the transfer must wake it after publishing its
+        // node and before waiting on it.
+        let q = AsyncTransferQueue::unbounded();
+        let q2 = q.clone();
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            q2.inner().queue().transfer(12u32);
+        });
+        assert_eq!(block_on(q.recv()), 12);
+        t.join().unwrap();
+        assert!(q.inner().queue().is_empty());
+    }
 }

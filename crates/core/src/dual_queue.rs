@@ -46,6 +46,13 @@
 //! no reclaimer guard while parked (a sleeping thread never stalls epoch
 //! reclamation), and matchers only touch nodes while guarded.
 //!
+//! A *release-on-link* data node (the paper's §5 asynchronous
+//! TransferQueue put, see [`SyncDualQueue::start`]) has no waiter: its
+//! producer returns right after the append CAS, so it starts at 1 like the
+//! dummy. A consumer claims it like any other data node; an item nobody
+//! takes is dropped by the final release, whether the node is recycled or
+//! the queue is dropped.
+//!
 //! The reclamation backend is the type parameter `R` (default [`Epoch`]).
 //! Under bounded-slot backends ([`synq_reclaim::Hazard`]) every deref of a
 //! node reached through another node's `next` field must be preceded by a
@@ -77,6 +84,7 @@
 use crate::node_cache::{NodeCache, Recyclable};
 use crate::pollable::{PendingTransfer, PollTransferer, StartTransfer};
 use crate::transferer::{Deadline, TransferOutcome, Transferer};
+use core::ops::Deref;
 use core::task::{Poll, Waker};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -98,7 +106,8 @@ struct QNode<T, R: Reclaimer> {
     next: Atomic<QNode<T, R>, R>,
     /// Producer (`true`) or consumer (`false`) node. Immutable.
     is_data: bool,
-    /// 2 = structure + waiter (dummy: 1 = structure only).
+    /// 2 = structure + waiter (dummy and release-on-link data nodes:
+    /// 1 = structure only).
     refs: AtomicUsize,
     /// Set (before the retire) by the release of the structure reference;
     /// a debug guard that the release happens exactly once.
@@ -291,7 +300,7 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
     /// Gets a node for this transfer: a recycled skeleton when one is
     /// available, a fresh allocation otherwise. `guard` witnesses the
     /// protection the free-list pop requires.
-    fn alloc_node(&self, is_data: bool, guard: &R::Guard) -> Owned<QNode<T, R>> {
+    fn alloc_node(&self, is_data: bool, refs: usize, guard: &R::Guard) -> Owned<QNode<T, R>> {
         // SAFETY: guarded, per `guard`.
         if let Some(p) = unsafe { self.cache.pop(guard) } {
             // SAFETY: the pop transferred exclusive ownership of a dead
@@ -301,13 +310,13 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
                 node.slot.reset();
                 node.next = Atomic::null();
                 node.is_data = is_data;
-                *node.refs.get_mut() = 2;
+                *node.refs.get_mut() = refs;
                 *node.unlinked.get_mut() = false;
                 Owned::from_usize(p as usize)
             }
         } else {
             self.cache.note_alloc();
-            QNode::new(is_data, 2)
+            QNode::new(is_data, refs)
         }
     }
 
@@ -433,17 +442,35 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
         }
     }
 
-    fn transfer_impl(
+    /// The lock-free phase of one transfer, split from its wait for
+    /// wrappers that must act in between (`TransferQueue` wakes its
+    /// item-list waiters there): match a waiting counterpart, or publish a
+    /// node at the tail and return a permit that borrows the queue. Resolve
+    /// the permit with [`QueuePermit::wait`], or drop it to cancel.
+    /// `deadline`/`token` gate only the publication (fail fast on
+    /// [`Deadline::Now`] or a tripped token); pass them again to `wait`.
+    ///
+    /// With `release_on_link`, a data node releases its producer once it
+    /// is linked: the call returns `Transferred(None)` right after the
+    /// append, ignoring `deadline` and `token`, and the queue holds the
+    /// item until a consumer claims it — the paper's §5 asynchronous put.
+    /// A consumer (`item == None`) ignores the flag.
+    pub fn start(
         &self,
         item: Option<T>,
+        release_on_link: bool,
         deadline: Deadline,
         token: Option<&CancelToken>,
-    ) -> TransferOutcome<T> {
+    ) -> StartTransfer<T, QueuePermit<T, R, &Self>> {
         let is_data = item.is_some();
-        match self.start_impl(item, deadline, token) {
-            RawStart::Done(outcome) => outcome,
-            // Wait without holding a reclaimer guard.
-            RawStart::Published(node_raw) => self.await_fulfill(node_raw, is_data, deadline, token),
+        match self.start_impl(item, release_on_link && is_data, deadline, token) {
+            RawStart::Done(outcome) => StartTransfer::Complete(outcome),
+            RawStart::Published(node) => StartTransfer::Pending(QueuePermit {
+                queue: self,
+                node,
+                is_data,
+                done: false,
+            }),
         }
     }
 
@@ -451,10 +478,12 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
     /// publish a node at the tail. Never waits; `deadline`/`token` are
     /// consulted only for the fail-fast checks before publication (pass
     /// [`Deadline::Never`] and `None` to always publish, as poll-mode
-    /// callers do — they apply their own checks on each poll).
+    /// callers do — they apply their own checks on each poll). A
+    /// release-on-link data node resolves as `Done` once appended.
     fn start_impl(
         &self,
         mut item: Option<T>,
+        release_on_link: bool,
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> RawStart<T, R> {
@@ -490,17 +519,22 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
                     );
                     continue;
                 }
-                // We would have to wait. Fail fast for `offer`/`poll` and
-                // for already-tripped cancellation tokens.
-                if deadline.is_now() {
-                    return RawStart::Done(TransferOutcome::Timeout(item));
+                // We would have to wait, unless the node releases us on
+                // link. Fail fast for `offer`/`poll` and for
+                // already-tripped cancellation tokens.
+                if !release_on_link {
+                    if deadline.is_now() {
+                        return RawStart::Done(TransferOutcome::Timeout(item));
+                    }
+                    if token.is_some_and(|tk| tk.is_cancelled()) {
+                        return RawStart::Done(TransferOutcome::Cancelled(item));
+                    }
                 }
-                if token.is_some_and(|tk| tk.is_cancelled()) {
-                    return RawStart::Done(TransferOutcome::Cancelled(item));
-                }
+                // A release-on-link node carries only the structure's
+                // reference: its producer never touches it again.
                 let owned = match node.take() {
                     Some(n) => n,
-                    None => self.alloc_node(is_data, &guard),
+                    None => self.alloc_node(is_data, if release_on_link { 1 } else { 2 }, &guard),
                 };
                 // (Re-)arm the node for this attempt.
                 if is_data {
@@ -545,6 +579,9 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
                     }
                 };
                 drop(guard);
+                if release_on_link {
+                    return RawStart::Done(TransferOutcome::Transferred(None));
+                }
                 return RawStart::Published(node_raw);
             }
 
@@ -593,24 +630,6 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
                 return RawStart::Done(TransferOutcome::Transferred(item));
             }
         }
-    }
-
-    /// Waits on our own freshly appended node. Touches only that node (we
-    /// hold a reference on it), so no reclaimer guard is held while
-    /// waiting — parked threads never stall reclamation. The
-    /// spin-then-park loop and the cancel arbitration are the shared
-    /// [`WaitSlot`] engine's.
-    fn await_fulfill(
-        &self,
-        node_raw: *const QNode<T, R>,
-        is_data: bool,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-    ) -> TransferOutcome<T> {
-        // SAFETY: we hold one of the node's references until `release`.
-        let node = unsafe { &*node_raw };
-        let verdict = node.slot.await_outcome(deadline, token, &self.spin);
-        self.finish_wait(node_raw, is_data, verdict)
     }
 
     /// Epilogue shared by the blocking and poll-mode wait loops: resolves a
@@ -678,12 +697,32 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
     /// forever. Staleness in both directions is possible by the time the
     /// caller acts; the striped retract protocol tolerates both.
     pub(crate) fn has_waiting(&self, is_data: bool) -> bool {
+        self.count_linked(1, |n| n.is_data == is_data && n.slot.is_waiting()) > 0
+    }
+
+    /// Diagnostic: number of linked nodes (excluding the dummy). O(n); used
+    /// by tests and the cleaning ablation, not by the algorithm.
+    pub fn linked_nodes(&self) -> usize {
+        self.count_linked(usize::MAX, |_| true)
+    }
+
+    /// Number of linked, still-`WAITING` data nodes (`is_data`) or
+    /// reservations (`!is_data`): unclaimed items plus blocked producers,
+    /// or blocked consumers. O(n) and approximate under concurrency.
+    pub fn waiting_nodes(&self, is_data: bool) -> usize {
+        self.count_linked(usize::MAX, |n| n.is_data == is_data && n.slot.is_waiting())
+    }
+
+    /// The one chain walk: counts linked nodes (excluding the dummy) that
+    /// satisfy `pred`, stopping early once the count reaches `limit`.
+    fn count_linked(&self, limit: usize, pred: impl Fn(&QNode<T, R>) -> bool) -> usize {
         let guard = R::pin();
         'restart: loop {
             let h = self.head.load(Ordering::Acquire, &guard);
             // SAFETY: head never null; structure-field protection.
             let mut prev = unsafe { h.deref() };
-            loop {
+            let mut count = 0;
+            while count < limit {
                 let next = prev.next.load(Ordering::Acquire, &guard);
                 // Head re-anchor (module docs): the queue retires nodes
                 // only as the head advances past them, so while the head
@@ -697,38 +736,14 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
                 }
                 // SAFETY: protected, and validated live just above.
                 let Some(n) = (unsafe { next.as_ref() }) else {
-                    return false;
+                    break;
                 };
-                if n.is_data == is_data && n.slot.is_waiting() {
-                    return true;
+                if pred(n) {
+                    count += 1;
                 }
                 prev = n;
             }
-        }
-    }
-
-    /// Diagnostic: number of linked nodes (excluding the dummy). O(n); used
-    /// by tests and the cleaning ablation, not by the algorithm.
-    pub fn linked_nodes(&self) -> usize {
-        let guard = R::pin();
-        'restart: loop {
-            let h = self.head.load(Ordering::Acquire, &guard);
-            // SAFETY: head never null; structure-field protection.
-            let mut prev = unsafe { h.deref() };
-            let mut count = 0;
-            loop {
-                let next = prev.next.load(Ordering::Acquire, &guard);
-                // Head re-anchor (see `has_waiting`).
-                if !self.head.load(Ordering::Acquire, &guard).ptr_eq(&h) {
-                    continue 'restart;
-                }
-                // SAFETY: protected, and validated live just above.
-                let Some(n) = (unsafe { next.as_ref() }) else {
-                    return count;
-                };
-                count += 1;
-                prev = n;
-            }
+            return count;
         }
     }
 }
@@ -756,12 +771,18 @@ impl<T: Send, R: Reclaimer> Transferer<T> for SyncDualQueue<T, R> {
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
-        self.transfer_impl(item, deadline, token)
+        match self.start(item, false, deadline, token) {
+            StartTransfer::Complete(outcome) => outcome,
+            // Wait without holding a reclaimer guard.
+            StartTransfer::Pending(permit) => permit.wait(deadline, token),
+        }
     }
 }
 
 /// A published-but-unresolved queue transfer (see
-/// [`PollTransferer::start_transfer`]).
+/// [`PollTransferer::start_transfer`], which hands out permits owning an
+/// `Arc` of the queue, and [`SyncDualQueue::start`], whose permits borrow
+/// it).
 ///
 /// Polling drives the node's [`WaitSlot`] poll-mode wait loop; dropping an
 /// unresolved permit cancels exactly like a timed-out blocking waiter
@@ -770,8 +791,12 @@ impl<T: Send, R: Reclaimer> Transferer<T> for SyncDualQueue<T, R> {
 /// unsent item — or an item a fulfiller deposited that the dropped
 /// consumer will never read — is dropped exactly once by the node's final
 /// reference release.
-pub struct QueuePermit<T: Send, R: Reclaimer = Epoch> {
-    queue: Arc<SyncDualQueue<T, R>>,
+pub struct QueuePermit<
+    T: Send,
+    R: Reclaimer = Epoch,
+    Q: Deref<Target = SyncDualQueue<T, R>> = Arc<SyncDualQueue<T, R>>,
+> {
+    queue: Q,
     node: *const QNode<T, R>,
     is_data: bool,
     /// Set when `poll_transfer` returned `Ready`: the waiter reference has
@@ -781,19 +806,21 @@ pub struct QueuePermit<T: Send, R: Reclaimer = Epoch> {
 
 // SAFETY: the permit is a waiter's handle on its own node — the same
 // references a blocking waiter thread holds — and the queue is `Sync`; the
-// raw pointer is kept alive by the reference count.
-unsafe impl<T: Send, R: Reclaimer> Send for QueuePermit<T, R> {}
+// raw pointer is kept alive by the reference count. `Q: Send` covers the
+// queue handle itself (an `Arc`, or a shared borrow of the `Sync` queue).
+unsafe impl<T: Send, R: Reclaimer, Q: Deref<Target = SyncDualQueue<T, R>> + Send> Send
+    for QueuePermit<T, R, Q>
+{
+}
 
-impl<T: Send, R: Reclaimer> QueuePermit<T, R> {
-    /// Resolves the permit by blocking — the same spin-then-park wait a
-    /// blocking `transfer` performs, on the already-published node. The
-    /// striped router uses this to downgrade a poll-mode publication into a
-    /// blocking wait once its post-publish rescan comes up empty.
-    pub(crate) fn wait(
-        mut self,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-    ) -> TransferOutcome<T> {
+impl<T: Send, R: Reclaimer, Q: Deref<Target = SyncDualQueue<T, R>>> QueuePermit<T, R, Q> {
+    /// Resolves the permit by blocking — the spin-then-park wait of every
+    /// blocking `transfer`, on the already-published node. Touches only
+    /// that node (the permit holds a reference on it), so no reclaimer
+    /// guard is held while waiting. The striped router uses this to
+    /// downgrade a poll-mode publication into a blocking wait once its
+    /// post-publish rescan comes up empty.
+    pub fn wait(mut self, deadline: Deadline, token: Option<&CancelToken>) -> TransferOutcome<T> {
         self.done = true;
         // SAFETY: `done` was false, so the waiter reference is still held.
         let node = unsafe { &*self.node };
@@ -802,7 +829,10 @@ impl<T: Send, R: Reclaimer> QueuePermit<T, R> {
     }
 }
 
-impl<T: Send, R: Reclaimer> PendingTransfer<T> for QueuePermit<T, R> {
+impl<T: Send, R: Reclaimer, Q> PendingTransfer<T> for QueuePermit<T, R, Q>
+where
+    Q: Deref<Target = SyncDualQueue<T, R>> + Send + Unpin,
+{
     fn poll_transfer(
         &mut self,
         waker: &Waker,
@@ -822,7 +852,7 @@ impl<T: Send, R: Reclaimer> PendingTransfer<T> for QueuePermit<T, R> {
     }
 }
 
-impl<T: Send, R: Reclaimer> Drop for QueuePermit<T, R> {
+impl<T: Send, R: Reclaimer, Q: Deref<Target = SyncDualQueue<T, R>>> Drop for QueuePermit<T, R, Q> {
     fn drop(&mut self) {
         if self.done {
             return;
@@ -850,7 +880,9 @@ impl<T: Send, R: Reclaimer> Drop for QueuePermit<T, R> {
     }
 }
 
-impl<T: Send, R: Reclaimer> std::fmt::Debug for QueuePermit<T, R> {
+impl<T: Send, R: Reclaimer, Q: Deref<Target = SyncDualQueue<T, R>>> std::fmt::Debug
+    for QueuePermit<T, R, Q>
+{
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueuePermit")
             .field("is_data", &self.is_data)
@@ -866,7 +898,7 @@ impl<T: Send, R: Reclaimer> PollTransferer<T> for SyncDualQueue<T, R> {
         let is_data = item.is_some();
         // Never/None: poll-mode callers apply deadline and cancellation on
         // each poll; the lock-free phase must always publish.
-        match this.start_impl(item, Deadline::Never, None) {
+        match this.start_impl(item, false, Deadline::Never, None) {
             RawStart::Done(outcome) => StartTransfer::Complete(outcome),
             RawStart::Published(node) => StartTransfer::Pending(QueuePermit {
                 queue: Arc::clone(this),
@@ -1107,6 +1139,94 @@ mod tests {
             }
         }
         assert_eq!(DROPS.load(Ordering::SeqCst), 5);
+    }
+
+    /// A payload that counts its drops on a per-test counter.
+    struct Counted(u32, Arc<AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.1.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Links `v` on a release-on-link data node, as an asynchronous put.
+    fn link<V: Send, R: Reclaimer>(q: &SyncDualQueue<V, R>, v: V) {
+        let out = q.start(Some(v), true, Deadline::Now, None);
+        assert!(matches!(
+            out,
+            StartTransfer::Complete(TransferOutcome::Transferred(None))
+        ));
+    }
+
+    fn release_on_link_buffers_fifo<R: Reclaimer>() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let q: SyncDualQueue<Counted, R> = SyncDualQueue::new_in();
+        for i in 0..4 {
+            link(&q, Counted(i, Arc::clone(&drops)));
+        }
+        assert_eq!(q.waiting_nodes(true), 4);
+        for i in 0..4 {
+            assert_eq!(q.poll().map(|c| c.0), Some(i));
+        }
+        assert!(q.poll().is_none());
+        assert_eq!(q.linked_nodes(), 0);
+        drop(q);
+        assert_eq!(drops.load(Ordering::SeqCst), 4);
+    }
+
+    fn release_on_link_drop_frees_buffered_items<R: Reclaimer>() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let q: SyncDualQueue<Counted, R> = SyncDualQueue::new_in();
+        for i in 0..5 {
+            link(&q, Counted(i, Arc::clone(&drops)));
+        }
+        assert_eq!(q.poll().map(|c| c.0), Some(0));
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        drop(q);
+        assert_eq!(drops.load(Ordering::SeqCst), 5);
+    }
+
+    fn release_on_link_nodes_are_recycled<R: Reclaimer>() {
+        let q: SyncDualQueue<u32, R> = SyncDualQueue::new_in();
+        for i in 0..512 {
+            link(&q, i);
+            assert_eq!(q.poll(), Some(i));
+        }
+        assert!(
+            q.nodes_recycled() > 0,
+            "no release-on-link node was recycled"
+        );
+    }
+
+    #[test]
+    fn release_on_link_epoch_buffers_fifo() {
+        release_on_link_buffers_fifo::<Epoch>();
+    }
+
+    #[test]
+    fn release_on_link_epoch_drop_frees_buffered_items() {
+        release_on_link_drop_frees_buffered_items::<Epoch>();
+    }
+
+    #[test]
+    fn release_on_link_epoch_nodes_are_recycled() {
+        release_on_link_nodes_are_recycled::<Epoch>();
+    }
+
+    #[test]
+    fn hazard_backend_release_on_link_buffers_fifo() {
+        release_on_link_buffers_fifo::<synq_reclaim::Hazard>();
+    }
+
+    #[test]
+    fn hazard_backend_release_on_link_drop_frees_buffered_items() {
+        release_on_link_drop_frees_buffered_items::<synq_reclaim::Hazard>();
+    }
+
+    #[test]
+    fn hazard_backend_release_on_link_nodes_are_recycled() {
+        release_on_link_nodes_are_recycled::<synq_reclaim::Hazard>();
     }
 
     #[test]

@@ -62,6 +62,7 @@ pub use channel::{SyncChannel, TimedSyncChannel};
 pub use combiner::{CombinerPermit, CombinerSyncQueue, CombinerSyncStack};
 pub use dual_queue::{QueuePermit, SyncDualQueue};
 pub use dual_stack::{StackPermit, SyncDualStack};
+pub use node_cache::NODE_CACHE_CAP;
 pub use pollable::{PendingTransfer, PollTransferer, StartTransfer};
 pub use queue::SynchronousQueue;
 pub use striped::{Striped, StripedLane, StripedPermit, StripedSyncQueue, StripedSyncStack};

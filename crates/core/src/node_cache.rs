@@ -45,11 +45,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use synq_primitives::CachePadded;
 use synq_reclaim::Shield;
 
-/// Default bound on the number of skeletons a cache retains; overflow is
-/// freed. [`NodeCache::with_capacity`] lets a structure size this down —
-/// striped structures give each lane a proportionally smaller stash so K
-/// lanes together pin no more memory than one unstriped structure.
-pub(crate) const NODE_CACHE_CAP: usize = 64;
+/// Default bound on the number of dead node skeletons a dual structure
+/// retains for recycling; overflow is freed. It is the `cache_capacity`
+/// every constructor without one passes to `with_config_in`, and what a
+/// wrapper passes to build a structure with an explicit spin policy but
+/// the default cache. Striped structures size it down per lane so K lanes
+/// together pin no more memory than one unstriped structure.
+pub const NODE_CACHE_CAP: usize = 64;
 
 /// Node types that can ride the free list, which is threaded through the
 /// node's own link field (no extra allocation, no size overhead).
@@ -129,6 +131,7 @@ impl<N: Recyclable> NodeCache<N> {
         loop {
             let head = guard.protect::<N>(&self.head, Ordering::Acquire) as *mut N;
             if head.is_null() {
+                synq_obs::probe!(NodeCacheMisses);
                 return None;
             }
             // SAFETY: `head` stays allocated and off-list while protected
@@ -187,10 +190,12 @@ impl<N: Recyclable> NodeCache<N> {
         }
     }
 
-    /// Records a fresh heap allocation by the owning structure.
+    /// Records a fresh heap allocation by the owning structure: after a
+    /// [`Self::pop`] miss, or for a queue's construction-time dummy, which
+    /// is no cache lookup (so a structure that never links a node records
+    /// no `node_cache.*` traffic).
     pub(crate) fn note_alloc(&self) {
         self.allocs.fetch_add(1, Ordering::Relaxed);
-        synq_obs::probe!(NodeCacheMisses);
     }
 
     /// Total fresh allocations over the structure's lifetime.

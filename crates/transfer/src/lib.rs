@@ -14,6 +14,14 @@
 //! exactly like the synchronous queue's `put`. Consumers are identical in
 //! both cases. The list still never holds data and reservations at once.
 //!
+//! This holds literally: a `TransferQueue` holds a [`SyncDualQueue`], and
+//! `put` and `transfer` both go through [`SyncDualQueue::start`], differing
+//! only in its `release_on_link` argument. A release-on-link data node
+//! carries just the structure's reference, and its producer returns right
+//! after the append CAS. Matching, cancellation, head absorption,
+//! reclamation and node recycling are the dual queue's own code; this
+//! crate adds only the optional ring and the waiter lists around it.
+//!
 //! # Bounded mode
 //!
 //! [`TransferQueue::bounded`] puts a [`RingBuffer`] — a cycle-versioned
@@ -43,67 +51,19 @@ mod waiters;
 
 pub use ring::RingBuffer;
 
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Poll, Waker};
 use std::time::Duration;
 use synq::{
     impl_channels_via_transferer, CancelToken, Deadline, PendingTransfer, PollTransferer,
-    SpinPolicy, StartTransfer, SyncChannel, TimedSyncChannel, TransferOutcome, Transferer,
+    SpinPolicy, StartTransfer, SyncChannel, SyncDualQueue, TimedSyncChannel, TransferOutcome,
+    Transferer, NODE_CACHE_CAP,
 };
 use synq_obs::probe;
 use synq_primitives::{CachePadded, WaitOutcome, WaitSlot};
-use synq_reclaim::{Atomic, Epoch, Owned, Reclaimer, Shared, Shield};
+use synq_reclaim::{Epoch, Reclaimer};
 use waiters::WaiterQueue;
-
-struct TNode<T, R: Reclaimer> {
-    /// The wait-node protocol. Async data nodes never wait on it: the
-    /// producer has already returned and only the state machine is used.
-    slot: WaitSlot<T>,
-    next: Atomic<TNode<T, R>, R>,
-    is_data: bool,
-    /// Bounded mode tallies linked sync transfers in
-    /// `TransferQueue::sync_transfers` so consumers can skip the
-    /// reclaimer-guarded linked path entirely when none exist; a counted
-    /// node must decrement on claim or cancellation.
-    counted: bool,
-    refs: AtomicUsize,
-    unlinked: AtomicBool,
-}
-
-impl<T, R: Reclaimer> TNode<T, R> {
-    fn new(is_data: bool, counted: bool, refs: usize) -> Owned<TNode<T, R>> {
-        Owned::new(TNode {
-            slot: WaitSlot::new(),
-            next: Atomic::null(),
-            is_data,
-            counted,
-            refs: AtomicUsize::new(refs),
-            unlinked: AtomicBool::new(false),
-        })
-    }
-
-    unsafe fn release(ptr: *const TNode<T, R>) {
-        // SAFETY: caller owns one reference.
-        let node = unsafe { &*ptr };
-        if node.refs.fetch_sub(1, Ordering::Release) == 1 {
-            std::sync::atomic::fence(Ordering::Acquire);
-            // SAFETY: last reference (see synq::dual_queue for the
-            // reclamation argument). The slot's Drop releases any item
-            // still pending in the cell.
-            drop(unsafe { Box::from_raw(ptr as *mut TNode<T, R>) });
-        }
-    }
-}
-
-/// How a producer-side operation relates to its item.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PutMode {
-    /// Link and return (the queue buffers the item).
-    Async,
-    /// Wait until a consumer takes the item.
-    Sync,
-}
 
 /// A queue supporting both synchronous and asynchronous enqueue, with an
 /// optional bounded array-backed fast path for the asynchronous side.
@@ -146,15 +106,18 @@ enum PutMode {
 /// assert_eq!(q.take(), 7);
 /// ```
 pub struct TransferQueue<T, R: Reclaimer = Epoch> {
-    head: Atomic<TNode<T, R>, R>,
-    tail: Atomic<TNode<T, R>, R>,
+    /// The linked rendezvous: every data node and reservation lives here.
+    queue: SyncDualQueue<T, R>,
+    /// Spin policy of the ring wait lists (the queue holds its own copy).
     spin: SpinPolicy,
     /// Bounded mode: the array fast path in front of the linked protocol.
     ring: Option<RingBuffer<T>>,
-    /// Bounded mode: linked *sync* data nodes currently published (put
-    /// after the publish CAS, taken back on claim or cancellation).
-    /// Consumers touch the reclaimer-guarded linked path only when this is
-    /// non-zero, which is what makes the pure buffered path guard-free.
+    /// Bounded mode: synchronous transfers in flight on the linked queue.
+    /// A producer counts its transfer *before* publishing and takes the
+    /// count back if it fails, times out or is cancelled; the consumer
+    /// that claims the node takes it back after the claim. Consumers touch
+    /// the reclaimer-guarded linked path only when this is non-zero, which
+    /// is what makes the pure buffered path guard-free.
     sync_transfers: CachePadded<AtomicUsize>,
     /// Bounded mode: producers waiting for ring space.
     space_waiters: WaiterQueue,
@@ -162,10 +125,6 @@ pub struct TransferQueue<T, R: Reclaimer = Epoch> {
     /// for an item.
     item_waiters: WaiterQueue,
 }
-
-// SAFETY: as for synq::SyncDualQueue; the ring imposes only T: Send.
-unsafe impl<T: Send, R: Reclaimer> Send for TransferQueue<T, R> {}
-unsafe impl<T: Send, R: Reclaimer> Sync for TransferQueue<T, R> {}
 
 impl<T: Send, R: Reclaimer> Default for TransferQueue<T, R> {
     fn default() -> Self {
@@ -222,17 +181,8 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     }
 
     fn build(spin: SpinPolicy, ring: Option<RingBuffer<T>>) -> Self {
-        let dummy = TNode::new(false, false, 1);
-        // SAFETY: single-threaded construction.
-        let guard = unsafe { R::unprotected() };
-        let dummy = dummy.into_shared(&guard);
-        let head = Atomic::null();
-        let tail = Atomic::null();
-        head.store(dummy, Ordering::Relaxed);
-        tail.store(dummy, Ordering::Relaxed);
         TransferQueue {
-            head,
-            tail,
+            queue: SyncDualQueue::with_config_in(spin.clone(), NODE_CACHE_CAP),
             spin,
             ring,
             sync_transfers: CachePadded::new(AtomicUsize::new(0)),
@@ -295,8 +245,23 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     ) -> TransferOutcome<T> {
         match &self.ring {
             Some(ring) => self.bounded_put(ring, value, deadline, token, true),
-            None => self.producer(Some(value), PutMode::Async, deadline, token),
+            None => self.link_async(value),
         }
+    }
+
+    /// Unbounded buffered put: links a release-on-link data node, then
+    /// wakes an item-list waiter (async receivers wait there, not as
+    /// linked reservations). The wake is spurious when the item went to a
+    /// waiting reservation instead; the woken receiver just re-registers.
+    fn link_async(&self, value: T) -> TransferOutcome<T> {
+        let StartTransfer::Complete(outcome) =
+            self.queue.start(Some(value), true, Deadline::Never, None)
+        else {
+            unreachable!("a release-on-link node never waits");
+        };
+        fence(Ordering::SeqCst);
+        self.item_waiters.notify(1);
+        outcome
     }
 
     /// Immediate buffered enqueue that does **not** defer to registered
@@ -307,7 +272,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     fn try_put_as_waiter(&self, value: T) -> Result<(), T> {
         let out = match &self.ring {
             Some(ring) => self.bounded_put(ring, value, Deadline::Now, None, false),
-            None => self.producer(Some(value), PutMode::Async, Deadline::Now, None),
+            None => self.link_async(value),
         };
         match out {
             TransferOutcome::Transferred(_) => Ok(()),
@@ -317,7 +282,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     /// Synchronous enqueue: waits until a consumer receives the item.
     pub fn transfer(&self, value: T) {
-        match self.producer(Some(value), PutMode::Sync, Deadline::Never, None) {
+        match self.transfer_with(value, Deadline::Never, None) {
             TransferOutcome::Transferred(_) => {}
             _ => unreachable!("untimed transfer cannot fail"),
         }
@@ -329,7 +294,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// publishing linked reservations, so there is never a reservation to
     /// fulfill and this **always fails** on a bounded queue.
     pub fn try_transfer(&self, value: T) -> Result<(), T> {
-        match self.producer(Some(value), PutMode::Sync, Deadline::Now, None) {
+        match self.transfer_with(value, Deadline::Now, None) {
             TransferOutcome::Transferred(_) => Ok(()),
             other => Err(other.into_inner().expect("item returned")),
         }
@@ -337,7 +302,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     /// Synchronous enqueue with patience.
     pub fn transfer_timeout(&self, value: T, patience: Duration) -> Result<(), T> {
-        match self.producer(Some(value), PutMode::Sync, Deadline::after(patience), None) {
+        match self.transfer_with(value, Deadline::after(patience), None) {
             TransferOutcome::Transferred(_) => Ok(()),
             other => Err(other.into_inner().expect("item returned")),
         }
@@ -350,7 +315,29 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
-        self.producer(Some(value), PutMode::Sync, deadline, token)
+        // Bounded mode counts the transfer before its node can be seen.
+        let counted = self.ring.is_some();
+        if counted {
+            self.sync_transfers.fetch_add(1, Ordering::SeqCst);
+        }
+        let outcome = match self.queue.start(Some(value), false, deadline, token) {
+            StartTransfer::Complete(outcome) => outcome,
+            StartTransfer::Pending(permit) => {
+                // Wake an item-list waiter before waiting: bounded
+                // consumers and async receivers wait there, not as linked
+                // reservations.
+                fence(Ordering::SeqCst);
+                self.item_waiters.notify(1);
+                permit.wait(deadline, token)
+            }
+        };
+        // The consumer that claimed the node took the count back; every
+        // other exit gives it back here. (A bounded transfer never
+        // completes against a reservation: bounded consumers link none.)
+        if counted && !matches!(outcome, TransferOutcome::Transferred(_)) {
+            self.sync_transfers.fetch_sub(1, Ordering::SeqCst);
+        }
+        outcome
     }
 
     // ------------------------------------------------------ consumer API
@@ -382,7 +369,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     pub fn take_with(&self, deadline: Deadline, token: Option<&CancelToken>) -> TransferOutcome<T> {
         match &self.ring {
             Some(ring) => self.bounded_take(ring, deadline, token, true),
-            None => self.consumer(deadline, token),
+            None => self.queue.take_with(deadline, token),
         }
     }
 
@@ -390,10 +377,11 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// waiters; see [`Self::try_put_as_waiter`].
     fn poll_as_waiter(&self) -> Option<T> {
         match &self.ring {
-            Some(ring) => self.bounded_take(ring, Deadline::Now, None, false),
-            None => self.consumer(Deadline::Now, None),
+            Some(ring) => self
+                .bounded_take(ring, Deadline::Now, None, false)
+                .into_inner(),
+            None => self.queue.poll(),
         }
-        .into_inner()
     }
 
     // --------------------------------------------------------- batch API
@@ -499,13 +487,9 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         let Some(ring) = &self.ring else {
             let mut got = 0;
             while got < max {
-                match self.consumer(Deadline::Now, None) {
-                    TransferOutcome::Transferred(Some(v)) => {
-                        out.push(v);
-                        got += 1;
-                    }
-                    _ => break,
-                }
+                let Some(v) = self.queue.poll() else { break };
+                out.push(v);
+                got += 1;
             }
             return got;
         };
@@ -520,7 +504,9 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
             got += popped;
         }
         while got < max && self.sync_transfers.load(Ordering::SeqCst) > 0 {
-            match self.consumer(Deadline::Now, None) {
+            // `bounded_take` waits out a counted transfer that is not
+            // linked yet, so a counted transfer is never skipped.
+            match self.bounded_take(ring, Deadline::Now, None, false) {
                 TransferOutcome::Transferred(Some(v)) => {
                     out.push(v);
                     got += 1;
@@ -534,37 +520,17 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     // ------------------------------------------------------- inspection
 
     /// Number of buffered (unmatched, uncancelled) data items: ring
-    /// occupancy plus published-but-unclaimed synchronous transfers.
+    /// occupancy plus synchronous transfers waiting to be taken. Bounded
+    /// mode counts a transfer from just before its publication until its
+    /// claim completes, so a concurrent read may include transfers that
+    /// are about to publish or fail, or were just claimed.
     ///
     /// Bounded mode is O(1) and guard-free (two atomic loads); unbounded
     /// mode walks the linked chain under a reclaimer guard, O(n).
     pub fn len(&self) -> usize {
-        if let Some(ring) = &self.ring {
-            return ring.len() + self.sync_transfers.load(Ordering::SeqCst);
-        }
-        let guard = R::pin();
-        'restart: loop {
-            let h = self.head.load(Ordering::Acquire, &guard);
-            // SAFETY: head never null; structure-field protection.
-            let mut prev = unsafe { h.deref() };
-            let mut n = 0;
-            loop {
-                let next = prev.next.load(Ordering::Acquire, &guard);
-                // Head re-anchor (see synq::dual_queue): nodes retire only
-                // as the head advances past them, so an unchanged head
-                // proves everything reached from it is still alive.
-                if !self.head.load(Ordering::Acquire, &guard).ptr_eq(&h) {
-                    continue 'restart;
-                }
-                // SAFETY: protected, and validated live just above.
-                let Some(next_ref) = (unsafe { next.as_ref() }) else {
-                    return n;
-                };
-                if next_ref.is_data && next_ref.slot.is_waiting() {
-                    n += 1;
-                }
-                prev = next_ref;
-            }
+        match &self.ring {
+            Some(ring) => ring.len() + self.sync_transfers.load(Ordering::SeqCst),
+            None => self.queue.waiting_nodes(true),
         }
     }
 
@@ -586,30 +552,9 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// concurrency. Bounded mode reads the item wait-list length (O(1));
     /// unbounded mode walks the chain, O(n).
     pub fn waiting_consumer_count(&self) -> usize {
-        if self.ring.is_some() {
-            return self.item_waiters.hint();
-        }
-        let guard = R::pin();
-        'restart: loop {
-            let h = self.head.load(Ordering::Acquire, &guard);
-            // SAFETY: head never null; structure-field protection.
-            let mut prev = unsafe { h.deref() };
-            let mut n = 0;
-            loop {
-                let next = prev.next.load(Ordering::Acquire, &guard);
-                // Head re-anchor (see `len`).
-                if !self.head.load(Ordering::Acquire, &guard).ptr_eq(&h) {
-                    continue 'restart;
-                }
-                // SAFETY: protected, and validated live just above.
-                let Some(next_ref) = (unsafe { next.as_ref() }) else {
-                    return n;
-                };
-                if !next_ref.is_data && next_ref.slot.is_waiting() {
-                    n += 1;
-                }
-                prev = next_ref;
-            }
+        match self.ring {
+            Some(_) => self.item_waiters.hint(),
+            None => self.queue.waiting_nodes(false),
         }
     }
 
@@ -731,11 +676,14 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                     break TransferOutcome::Transferred(Some(v));
                 }
                 if self.sync_transfers.load(Ordering::SeqCst) > 0 {
-                    if let TransferOutcome::Transferred(v) = self.consumer(Deadline::Now, None) {
-                        break TransferOutcome::Transferred(v);
+                    if let Some(v) = self.queue.poll() {
+                        // Our claim: take the transfer's count back.
+                        self.sync_transfers.fetch_sub(1, Ordering::SeqCst);
+                        break TransferOutcome::Transferred(Some(v));
                     }
-                    // The counted node was claimed or cancelled by someone
-                    // else and the counter is momentarily stale; re-examine.
+                    // The counted transfer is not linked yet, or was
+                    // claimed or cancelled by someone else and the counter
+                    // is momentarily stale; re-examine.
                     std::thread::yield_now();
                     continue;
                 }
@@ -778,322 +726,6 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         }
         outcome
     }
-
-    // ---------------------------------------------------------- internals
-
-    fn advance_head<'g>(
-        &self,
-        h: Shared<'g, TNode<T, R>>,
-        nh: Shared<'g, TNode<T, R>>,
-        guard: &'g R::Guard,
-    ) -> bool {
-        if self
-            .head
-            .compare_exchange(h, nh, Ordering::AcqRel, Ordering::Acquire, guard)
-            .is_ok()
-        {
-            // Help a lagging tail off `h` before retiring it, so `tail`
-            // never references a retired node (Michael's rule). Without
-            // this a bounded-slot backend could free `h` while `tail`
-            // still points at it, and a later tail-load's source
-            // re-validation would wrongly pass. Tail moves only forward
-            // along the chain, so once past `h` it can never return.
-            let t = self.tail.load(Ordering::Acquire, guard);
-            if t.ptr_eq(&h) {
-                let _ =
-                    self.tail
-                        .compare_exchange(t, nh, Ordering::Release, Ordering::Relaxed, guard);
-            }
-            // SAFETY: unlinked by our CAS; release the structure reference.
-            let node_ref = unsafe { h.deref() };
-            let was = node_ref.unlinked.swap(true, Ordering::AcqRel);
-            debug_assert!(!was);
-            let raw = h.as_raw() as usize;
-            // SAFETY: deferred past the backend's grace period.
-            unsafe {
-                guard.defer_retire(raw, move || TNode::release(raw as *const TNode<T, R>));
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    fn absorb_cancelled(&self, guard: &R::Guard) {
-        loop {
-            let h = self.head.load(Ordering::Acquire, guard);
-            // SAFETY: head never null.
-            let hn = unsafe { h.deref() }.next.load(Ordering::Acquire, guard);
-            // Snapshot re-check (see synq::dual_queue): `hn` came through a
-            // node field, so prove `h` was still the head — hence
-            // unretired, hence `hn` unretired — after `hn`'s protection
-            // published.
-            if !self.head.load(Ordering::Acquire, guard).ptr_eq(&h) {
-                continue;
-            }
-            // SAFETY: validated just above.
-            let Some(hn_ref) = (unsafe { hn.as_ref() }) else {
-                return;
-            };
-            if !hn_ref.slot.is_cancelled() {
-                return;
-            }
-            let _ = self.advance_head(h, hn, guard);
-        }
-    }
-
-    fn producer(
-        &self,
-        mut item: Option<T>,
-        mode: PutMode,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-    ) -> TransferOutcome<T> {
-        // Bounded mode tallies linked sync transfers (see `sync_transfers`).
-        let counted = mode == PutMode::Sync && self.ring.is_some();
-        let mut node: Option<Owned<TNode<T, R>>> = None;
-        loop {
-            let guard = R::pin();
-            self.absorb_cancelled(&guard);
-
-            let h = self.head.load(Ordering::Acquire, &guard);
-            let t = self.tail.load(Ordering::Acquire, &guard);
-            // SAFETY: never null, protected.
-            let t_ref = unsafe { t.deref() };
-
-            if h.ptr_eq(&t) || t_ref.is_data {
-                // Append our data node.
-                let n = t_ref.next.load(Ordering::Acquire, &guard);
-                if !t.ptr_eq(&self.tail.load(Ordering::Acquire, &guard)) {
-                    continue;
-                }
-                if !n.is_null() {
-                    let _ = self.tail.compare_exchange(
-                        t,
-                        n,
-                        Ordering::Release,
-                        Ordering::Relaxed,
-                        &guard,
-                    );
-                    continue;
-                }
-                if mode == PutMode::Sync {
-                    if deadline.is_now() {
-                        return TransferOutcome::Timeout(item);
-                    }
-                    if token.is_some_and(|tk| tk.is_cancelled()) {
-                        return TransferOutcome::Cancelled(item);
-                    }
-                }
-                // Async nodes carry only the structure's reference.
-                let refs = if mode == PutMode::Async { 1 } else { 2 };
-                let owned = match node.take() {
-                    Some(n) => n,
-                    None => TNode::new(true, counted, refs),
-                };
-                // SAFETY: unpublished node, exclusively ours.
-                unsafe { owned.slot.put_item(item.take().expect("producer has item")) };
-                match t_ref.next.compare_exchange(
-                    Shared::null(),
-                    owned,
-                    Ordering::Release,
-                    Ordering::Acquire,
-                    &guard,
-                ) {
-                    Ok(published) => {
-                        let _ = self.tail.compare_exchange(
-                            t,
-                            published,
-                            Ordering::Release,
-                            Ordering::Relaxed,
-                            &guard,
-                        );
-                        if counted {
-                            self.sync_transfers.fetch_add(1, Ordering::SeqCst);
-                        }
-                        // Wake an item-list waiter (bounded consumers and
-                        // async receivers wait there, not as reservations).
-                        fence(Ordering::SeqCst);
-                        self.item_waiters.notify(1);
-                        if mode == PutMode::Async {
-                            return TransferOutcome::Transferred(None);
-                        }
-                        let raw = published.as_raw();
-                        drop(guard);
-                        return self.await_fulfill(raw, true, deadline, token);
-                    }
-                    Err(e) => {
-                        synq::contention::note_cas_fail();
-                        let owned = e.new;
-                        // SAFETY: unpublished; reclaim the item.
-                        item = Some(unsafe { owned.slot.reclaim_item() });
-                        node = Some(owned);
-                        continue;
-                    }
-                }
-            }
-
-            // Reservations at the front: fulfill the oldest.
-            // SAFETY: head never null.
-            let m = unsafe { h.deref() }.next.load(Ordering::Acquire, &guard);
-            if !t.ptr_eq(&self.tail.load(Ordering::Acquire, &guard))
-                || !h.ptr_eq(&self.head.load(Ordering::Acquire, &guard))
-                || m.is_null()
-            {
-                continue;
-            }
-            // SAFETY: m reachable under our pin.
-            let m_ref = unsafe { m.deref() };
-            let matched = if m_ref.slot.try_claim() {
-                // SAFETY: claim grants slot write access.
-                unsafe { m_ref.slot.put_item(item.take().expect("producer has item")) };
-                m_ref.slot.complete();
-                true
-            } else {
-                false
-            };
-            let _ = self.advance_head(h, m, &guard);
-            if matched {
-                return TransferOutcome::Transferred(None);
-            }
-        }
-    }
-
-    fn consumer(&self, deadline: Deadline, token: Option<&CancelToken>) -> TransferOutcome<T> {
-        let mut node: Option<Owned<TNode<T, R>>> = None;
-        loop {
-            let guard = R::pin();
-            self.absorb_cancelled(&guard);
-
-            let h = self.head.load(Ordering::Acquire, &guard);
-            let t = self.tail.load(Ordering::Acquire, &guard);
-            // SAFETY: never null, protected.
-            let t_ref = unsafe { t.deref() };
-
-            if h.ptr_eq(&t) || !t_ref.is_data {
-                // Queue empty or holds reservations: append ours.
-                let n = t_ref.next.load(Ordering::Acquire, &guard);
-                if !t.ptr_eq(&self.tail.load(Ordering::Acquire, &guard)) {
-                    continue;
-                }
-                if !n.is_null() {
-                    let _ = self.tail.compare_exchange(
-                        t,
-                        n,
-                        Ordering::Release,
-                        Ordering::Relaxed,
-                        &guard,
-                    );
-                    continue;
-                }
-                if deadline.is_now() {
-                    return TransferOutcome::Timeout(None);
-                }
-                if token.is_some_and(|tk| tk.is_cancelled()) {
-                    return TransferOutcome::Cancelled(None);
-                }
-                let owned = match node.take() {
-                    Some(n) => n,
-                    None => TNode::new(false, false, 2),
-                };
-                match t_ref.next.compare_exchange(
-                    Shared::null(),
-                    owned,
-                    Ordering::Release,
-                    Ordering::Acquire,
-                    &guard,
-                ) {
-                    Ok(published) => {
-                        let _ = self.tail.compare_exchange(
-                            t,
-                            published,
-                            Ordering::Release,
-                            Ordering::Relaxed,
-                            &guard,
-                        );
-                        let raw = published.as_raw();
-                        drop(guard);
-                        return self.await_fulfill(raw, false, deadline, token);
-                    }
-                    Err(e) => {
-                        synq::contention::note_cas_fail();
-                        node = Some(e.new);
-                        continue;
-                    }
-                }
-            }
-
-            // Data at the front: take the oldest.
-            // SAFETY: head never null.
-            let m = unsafe { h.deref() }.next.load(Ordering::Acquire, &guard);
-            if !t.ptr_eq(&self.tail.load(Ordering::Acquire, &guard))
-                || !h.ptr_eq(&self.head.load(Ordering::Acquire, &guard))
-                || m.is_null()
-            {
-                continue;
-            }
-            // SAFETY: m reachable under our pin.
-            let m_ref = unsafe { m.deref() };
-            let mut taken = None;
-            if m_ref.slot.try_claim() {
-                // SAFETY: claim grants slot read access.
-                taken = Some(unsafe { m_ref.slot.take_item() });
-                m_ref.slot.complete();
-                if m_ref.counted {
-                    self.sync_transfers.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            let _ = self.advance_head(h, m, &guard);
-            if taken.is_some() {
-                return TransferOutcome::Transferred(taken);
-            }
-        }
-    }
-
-    fn await_fulfill(
-        &self,
-        node_raw: *const TNode<T, R>,
-        is_data: bool,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-    ) -> TransferOutcome<T> {
-        // SAFETY: we hold the waiter reference.
-        let node = unsafe { &*node_raw };
-        let outcome = match node.slot.await_outcome(deadline, token, &self.spin) {
-            WaitOutcome::Matched(_) => {
-                let item = if is_data {
-                    None
-                } else {
-                    // SAFETY: producer wrote before MATCHED.
-                    Some(unsafe { node.slot.take_item() })
-                };
-                TransferOutcome::Transferred(item)
-            }
-            verdict => {
-                // We won the cancel CAS.
-                if node.counted {
-                    self.sync_transfers.fetch_sub(1, Ordering::SeqCst);
-                }
-                let guard = R::pin();
-                self.absorb_cancelled(&guard);
-                drop(guard);
-                let item = if is_data {
-                    // SAFETY: cancellation wins the item back.
-                    Some(unsafe { node.slot.take_item() })
-                } else {
-                    None
-                };
-                if verdict == WaitOutcome::Cancelled {
-                    TransferOutcome::Cancelled(item)
-                } else {
-                    TransferOutcome::Timeout(item)
-                }
-            }
-        };
-        // SAFETY: the waiter reference.
-        unsafe { TNode::release(node_raw) };
-        outcome
-    }
 }
 
 /// A `TransferQueue` is itself a synchronous transfer point when driven
@@ -1111,28 +743,13 @@ impl<T: Send, R: Reclaimer> Transferer<T> for TransferQueue<T, R> {
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
         match item {
-            Some(v) => self.producer(Some(v), PutMode::Sync, deadline, token),
+            Some(v) => self.transfer_with(v, deadline, token),
             None => self.take_with(deadline, token),
         }
     }
 }
 
 impl_channels_via_transferer!(TransferQueue<R: synq_reclaim::Reclaimer>);
-
-impl<T, R: Reclaimer> Drop for TransferQueue<T, R> {
-    fn drop(&mut self) {
-        // SAFETY: exclusive access in Drop.
-        let guard = unsafe { R::unprotected() };
-        let mut p = self.head.load(Ordering::Relaxed, &guard);
-        while !p.is_null() {
-            // SAFETY: exclusive access in Drop.
-            let node = unsafe { p.deref() };
-            let next = node.next.load(Ordering::Relaxed, &guard);
-            unsafe { TNode::release(p.as_raw()) };
-            p = next;
-        }
-    }
-}
 
 impl<T, R: Reclaimer> std::fmt::Debug for TransferQueue<T, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -2110,5 +1727,51 @@ mod tests {
         q.put(9);
         assert_eq!(q.take(), 9);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn bounded_sync_transfer_count_never_underflows_stress() {
+        // A consumer must never give back a count its transfer's producer
+        // has not taken yet, or `sync_transfers` wraps to `usize::MAX`.
+        // Only transfers run, so the ring stays empty and `len()` is the
+        // count alone: at most one per producer plus one just-claimed per
+        // consumer, within `capacity + producers` on every read.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        const PRODUCERS: usize = 2;
+        const CONSUMERS: usize = 2;
+        const PER: usize = 200_000;
+        const CAPACITY: usize = 4;
+        let q: Arc<TransferQueue<usize>> = Arc::new(TransferQueue::bounded(CAPACITY));
+        let stop = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let q = Arc::clone(&q);
+            let stop = Arc::clone(&stop);
+            thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    let n = q.len();
+                    assert!(n <= CAPACITY + PRODUCERS, "len() read {n}");
+                }
+            })
+        };
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || (0..PER).for_each(|i| q.transfer(i)))
+            })
+            .collect();
+        let consumers: Vec<_> = (0..CONSUMERS)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || (0..PER).map(|_| q.take()).sum::<usize>())
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
+        }
+        let total: usize = consumers.into_iter().map(|c| c.join().unwrap()).sum();
+        stop.store(true, Ordering::SeqCst);
+        reader.join().unwrap();
+        assert_eq!(total, PRODUCERS * (0..PER).sum::<usize>());
+        assert_eq!(q.len(), 0);
     }
 }
